@@ -31,10 +31,10 @@ pub fn ablate_ecall_batching(env: &mut PaperEnv) {
     let images = vec![(0..256).map(|p| (p as i64 % 41) - 20).collect::<Vec<i64>>()];
     let input =
         EncryptedMap::encrypt_images(&env.sys, &images, 16, &env.keys.public, &mut rng).unwrap();
-    let (_, batched) = ie
+    let (_, _, batched) = ie
         .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
         .unwrap();
-    let (_, single) = ie
+    let (_, _, single) = ie
         .activation_map_single_ecalls(&env.sys, &input, &model, ActivationKind::Sigmoid)
         .unwrap();
     println!("granularity   virtual (ms)  transitions (ms)");

@@ -217,13 +217,13 @@ pub fn fig5_sigmoid(env: &mut PaperEnv, cfg: RunConfig) -> Vec<Fig5Point> {
         let encrypt_ms = start.elapsed().as_secs_f64() * 1e3;
 
         // SGXSigmoid: exact sigmoid, batched ECALL, virtual time.
-        let (_, cost) = real
+        let (_, _, cost) = real
             .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
             .unwrap();
         let sgx_ms = cost.total_ns() as f64 / 1e6;
 
         // FakeSGXSigmoid: same code, zero-overhead model.
-        let (_, cost) = fake
+        let (_, _, cost) = fake
             .activation_map(&env.sys, &input, &model, ActivationKind::Sigmoid)
             .unwrap();
         let fake_ms = cost.total_ns() as f64 / 1e6;
@@ -293,14 +293,14 @@ pub fn fig6_pooling(env: &mut PaperEnv, _cfg: RunConfig) -> Vec<Fig6Point> {
         let summed = ops::he_scaled_mean_pool(&env.sys, &input, w, &mut counter, &arena).unwrap();
         let encrypted_sum_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let (_, cost) = real.divide_map(&env.sys, &summed, &model).unwrap();
+        let (_, _, cost) = real.divide_map(&env.sys, &summed, &model).unwrap();
         let sgx_divide_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake.divide_map(&env.sys, &summed, &model).unwrap();
+        let (_, _, cost) = fake.divide_map(&env.sys, &summed, &model).unwrap();
         let fake_divide_ms = cost.total_ns() as f64 / 1e6;
 
-        let (_, cost) = real.pool_full_map(&env.sys, &input, &model, false).unwrap();
+        let (_, _, cost) = real.pool_full_map(&env.sys, &input, &model, false).unwrap();
         let sgx_pool_ms = cost.total_ns() as f64 / 1e6;
-        let (_, cost) = fake.pool_full_map(&env.sys, &input, &model, false).unwrap();
+        let (_, _, cost) = fake.pool_full_map(&env.sys, &input, &model, false).unwrap();
         let fake_pool_ms = cost.total_ns() as f64 / 1e6;
 
         let p = Fig6Point {

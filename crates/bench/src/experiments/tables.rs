@@ -254,11 +254,11 @@ pub fn table5_relinearization(env: &mut PaperEnv, cfg: RunConfig) -> Table5 {
     for _ in 0..reps {
         let mut total = 0u64;
         for ct in &batch {
-            let (_, cost) = ie.refresh_one(sys, ct).unwrap();
+            let (_, _, cost) = ie.refresh_one(sys, ct).unwrap();
             total += cost.total_ns();
         }
         single.push(total as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
-        let (_, cost) = ie.refresh_batch(sys, &batch).unwrap();
+        let (_, _, cost) = ie.refresh_batch(sys, &batch).unwrap();
         per_ct.push(cost.total_ns() as f64 / 1e6 / PAPER_BATCH_SIZE as f64);
     }
     let sgx_single = Stats::from_samples_trimmed(&single);

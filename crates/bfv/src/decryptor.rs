@@ -26,69 +26,13 @@ impl Decryptor {
         Decryptor { ctx, sk }
     }
 
-    /// Computes `c(s) = c0 + c1·s + c2·s² + …` in coefficient form.
-    fn dot_with_secret(&self, ct: &Ciphertext) -> RnsPoly {
-        let ctx = &self.ctx;
-        let mut acc = RnsPoly::zero(ctx, PolyForm::Ntt);
-        let mut s_power = RnsPoly::zero(ctx, PolyForm::Ntt);
-        for (idx, poly) in ct.polys.iter().enumerate() {
-            let mut p = poly.clone();
-            p.to_ntt(ctx);
-            if idx == 0 {
-                acc.add_assign(&p, ctx);
-            } else {
-                s_power = if idx == 1 {
-                    self.sk.s.clone()
-                } else {
-                    s_power.mul_pointwise(&self.sk.s, ctx)
-                };
-                acc.mul_acc(&p, &s_power, ctx);
-            }
-        }
-        acc.to_coeff(ctx);
-        acc
-    }
-
     /// Decrypts: `m = round(t·[c(s)]_q / q) mod t`.
     ///
     /// # Errors
     ///
     /// Fails when the ciphertext is bound to another context or malformed.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext> {
-        self.check(ct)?;
-        let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
-        let t = ctx.params().plain_modulus();
-        let n = ctx.poly_degree();
-        let mut coeffs = vec![0u64; n];
-        if ctx.limb_count() == 1 {
-            // Single-limb fast path: everything fits u128.
-            let q = ctx.params().coeff_moduli()[0];
-            let half = q as u128 / 2;
-            for (j, out) in coeffs.iter_mut().enumerate() {
-                let x = acc.limbs[0][j] as u128;
-                let quot = (t as u128 * x + half) / q as u128;
-                *out = (quot % t as u128) as u64;
-            }
-            return Ok(Plaintext::from_coeffs(coeffs));
-        }
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for (j, out) in coeffs.iter_mut().enumerate() {
-            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
-            // round(t*x/q) = floor((t*x + q/2) / q), then reduce mod t.
-            let (tx, carry) = x.carrying_mul_u64(t);
-            debug_assert_eq!(carry, 0, "t*x fits in 256 bits by parameter validation");
-            let (sum, overflow) = tx.overflowing_add(ctx.q_half);
-            debug_assert!(!overflow);
-            let (quot, _) = ctx.rec_q.div_rem(sum);
-            // quot <= t, so it fits u64 after reduction.
-            let q64 = quot.to_u64().unwrap_or(0);
-            *out = q64 % t;
-        }
-        Ok(Plaintext::from_coeffs(coeffs))
+        Ok(decrypt_with_budget(&self.ctx, &self.sk, ct)?.0)
     }
 
     /// Measures the invariant-noise budget in bits.
@@ -97,54 +41,24 @@ impl Decryptor {
     /// is correct while `‖v‖ < 1/2`. The budget is `−log2(2‖v‖)`, i.e. the
     /// number of noise-doubling operations the ciphertext can still absorb.
     /// Returns 0 when the ciphertext is no longer decryptable.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the ciphertext is bound to another context or malformed.
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> Result<u32> {
-        self.check(ct)?;
-        let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
-        let t = ctx.params().plain_modulus();
-        let n = ctx.poly_degree();
-        // noise coefficient = centered(t*x mod q); budget from its max norm.
-        let mut max_bits = 0u32;
-        let mut residues = vec![0u64; ctx.limb_count()];
-        for j in 0..n {
-            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
-                *r = limb[j];
-            }
-            let x = ctx.crt_reconstruct(&residues);
-            let (tx, carry) = x.carrying_mul_u64(t);
-            debug_assert_eq!(carry, 0);
-            // t*x mod q, centered: this equals t*(noise) + small rounding part.
-            let rem = ctx
-                .rec_q
-                .reduce_u512(hesgx_crypto::uint::U512::from_u256(tx));
-            let mag = if rem > ctx.q_half {
-                ctx.q.wrapping_sub(rem)
-            } else {
-                rem
-            };
-            max_bits = max_bits.max(mag.bits());
-        }
-        // v = (t*x mod q)/q  =>  budget = -log2(2*||v||) ≈ q_bits - mag_bits - 1.
-        let q_bits = ctx.q.bits();
-        Ok(q_bits.saturating_sub(max_bits + 1))
-    }
-
-    fn check(&self, ct: &Ciphertext) -> Result<()> {
-        if ct.context_id() != self.ctx.id() {
-            return Err(BfvError::ContextMismatch);
-        }
-        if ct.size() < 2 {
-            return Err(BfvError::InvalidCiphertextSize(ct.size()));
-        }
-        Ok(())
+        Ok(decrypt_with_budget(&self.ctx, &self.sk, ct)?.1)
     }
 
     /// Reconstructs the raw `[c(s)]_q` coefficients (diagnostic API used by
     /// tests and by the noise-analysis example).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the ciphertext is bound to another context or malformed.
     pub fn raw_phase(&self, ct: &Ciphertext) -> Result<Vec<U256>> {
-        self.check(ct)?;
+        check(&self.ctx, ct)?;
         let ctx = &self.ctx;
-        let acc = self.dot_with_secret(ct);
+        let acc = dot_with_secret(ctx, &self.sk, ct);
         let n = ctx.poly_degree();
         let mut out = Vec::with_capacity(n);
         let mut residues = vec![0u64; ctx.limb_count()];
@@ -156,6 +70,105 @@ impl Decryptor {
         }
         Ok(out)
     }
+}
+
+/// Decrypts `ct` under a borrowed `sk` and measures its invariant-noise
+/// budget in the same pass: `(`[`Decryptor::decrypt`]`,`
+/// [`Decryptor::invariant_noise_budget`]`)` for the price of the first.
+///
+/// Both come out of one rounding division per coefficient. With
+/// `x = [c(s)]_q`, `h = ⌊q/2⌋` and `t·x + h = quot·q + rem`, the plaintext
+/// coefficient is `quot mod t`, and because `q` is odd (a product of odd NTT
+/// primes) the centered magnitude of `t·x mod q` — the scaled noise — is
+/// exactly `|rem − h|`: one compare and one subtract on top of decryption.
+///
+/// # Errors
+///
+/// Fails when the ciphertext or the key is bound to another context, or the
+/// ciphertext is malformed.
+pub fn decrypt_with_budget(
+    ctx: &BfvContext,
+    sk: &SecretKey,
+    ct: &Ciphertext,
+) -> Result<(Plaintext, u32)> {
+    if sk.context_id() != ctx.id() {
+        return Err(BfvError::ContextMismatch);
+    }
+    check(ctx, ct)?;
+    let acc = dot_with_secret(ctx, sk, ct);
+    let t = ctx.params().plain_modulus();
+    let n = ctx.poly_degree();
+    let mut coeffs = vec![0u64; n];
+    let mut max_bits = 0u32;
+    if ctx.limb_count() == 1 {
+        // Single-limb fast path: everything fits u128.
+        let q = ctx.params().coeff_moduli()[0] as u128;
+        let half = q / 2;
+        for (j, out) in coeffs.iter_mut().enumerate() {
+            let sum = t as u128 * acc.limbs[0][j] as u128 + half;
+            let quot = sum / q;
+            *out = (quot % t as u128) as u64;
+            let mag = (sum - quot * q).abs_diff(half);
+            max_bits = max_bits.max(u128::BITS - mag.leading_zeros());
+        }
+    } else {
+        let mut residues = vec![0u64; ctx.limb_count()];
+        for (j, out) in coeffs.iter_mut().enumerate() {
+            for (r, limb) in residues.iter_mut().zip(&acc.limbs) {
+                *r = limb[j];
+            }
+            let x = ctx.crt_reconstruct(&residues);
+            // round(t*x/q) = floor((t*x + q/2) / q), then reduce mod t.
+            let (tx, carry) = x.carrying_mul_u64(t);
+            debug_assert_eq!(carry, 0, "t*x fits in 256 bits by parameter validation");
+            let (sum, overflow) = tx.overflowing_add(ctx.q_half);
+            debug_assert!(!overflow);
+            let (quot, rem) = ctx.rec_q.div_rem(sum);
+            // quot <= t, so it fits u64 after reduction.
+            *out = quot.to_u64().unwrap_or(0) % t;
+            let mag = if rem >= ctx.q_half {
+                rem.wrapping_sub(ctx.q_half)
+            } else {
+                ctx.q_half.wrapping_sub(rem)
+            };
+            max_bits = max_bits.max(mag.bits());
+        }
+    }
+    // v = (t*x mod q)/q  =>  budget = -log2(2*||v||) ≈ q_bits - mag_bits - 1.
+    let budget = ctx.q.bits().saturating_sub(max_bits + 1);
+    Ok((Plaintext::from_coeffs(coeffs), budget))
+}
+
+/// Computes `c(s) = c0 + c1·s + c2·s² + …` in coefficient form.
+fn dot_with_secret(ctx: &BfvContext, sk: &SecretKey, ct: &Ciphertext) -> RnsPoly {
+    let mut acc = RnsPoly::zero(ctx, PolyForm::Ntt);
+    // s^idx for idx >= 2; s itself is read in place, never copied.
+    let mut s_power: Option<RnsPoly> = None;
+    for (idx, poly) in ct.polys.iter().enumerate() {
+        let mut p = poly.clone();
+        p.to_ntt(ctx);
+        match idx {
+            0 => acc.add_assign(&p, ctx),
+            1 => acc.mul_acc(&p, &sk.s, ctx),
+            _ => {
+                let next = s_power.as_ref().unwrap_or(&sk.s).mul_pointwise(&sk.s, ctx);
+                acc.mul_acc(&p, &next, ctx);
+                s_power = Some(next);
+            }
+        }
+    }
+    acc.to_coeff(ctx);
+    acc
+}
+
+fn check(ctx: &BfvContext, ct: &Ciphertext) -> Result<()> {
+    if ct.context_id() != ctx.id() {
+        return Err(BfvError::ContextMismatch);
+    }
+    if ct.size() < 2 {
+        return Err(BfvError::InvalidCiphertextSize(ct.size()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

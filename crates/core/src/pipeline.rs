@@ -61,17 +61,18 @@ impl StageMetrics {
 /// between pooling and the fully connected layer.
 ///
 /// The budget is the minimum invariant-noise budget in bits across the
-/// feature map, measured *inside* the enclave by
-/// [`InferenceEnclave::noise_probe`]; only the bit-counts recorded here ever
-/// cross the boundary.
+/// feature map, measured *inside* the enclave: by the refresh ECALL's own
+/// decryption in Always mode, by a functional [`InferenceEnclave::noise_probe`]
+/// in Auto mode. Only the bit-counts recorded here ever cross the boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoiseDecision {
     /// Pipeline layer index the decision belongs to.
     pub layer: usize,
     /// Minimum budget (bits) measured before the decision.
     pub before_bits: u32,
-    /// Minimum budget (bits) measured after a taken refresh (`None` when
-    /// the refresh was skipped or post-telemetry was off).
+    /// Minimum budget (bits) measured after a taken refresh by a standalone
+    /// [`InferenceEnclave::noise_probe`] (`None` when the refresh was
+    /// skipped or no recorder is installed).
     pub after_bits: Option<u32>,
     /// The `refresh_threshold_bits` in force (planner default or override).
     pub threshold_bits: u32,
@@ -89,7 +90,7 @@ pub struct HybridMetrics {
     /// Worker threads the run executed with (1 = serial).
     pub threads: usize,
     /// Noise-refresh decisions, in execution order (empty when no refresh
-    /// point ran or no budget was measured).
+    /// point ran).
     pub noise: Vec<NoiseDecision>,
 }
 
@@ -438,12 +439,15 @@ impl HybridInference {
         }
     }
 
-    /// Recorder-gated noise-budget telemetry: measures the minimum
-    /// invariant-noise budget of `cells` inside the enclave and records the
-    /// bit-count as a gauge sample. Telemetry-only — the probe's ECALL cost
-    /// books under `ecall.ecall_NoiseProbe`, never under a pipeline stage,
-    /// so the reconciliation invariant (the `infer.*.ecall` fold equals
-    /// `total_enclave_cost`) is untouched. Returns the bits when measured.
+    /// Recorder-gated post-refresh telemetry: measures the minimum
+    /// invariant-noise budget of freshly refreshed `cells` with a standalone
+    /// probe ECALL and records the bit-count as a gauge sample. Every other
+    /// budget gauge comes free from the operator ECALL that decrypted the
+    /// cells; this one measures ciphertexts no operator has consumed yet.
+    /// The probe's ECALL cost books under `ecall.ecall_NoiseProbe`, never
+    /// under a pipeline stage, so the reconciliation invariant (the
+    /// `infer.*.ecall` fold equals `total_enclave_cost`) is untouched.
+    /// Returns the bits when measured.
     fn probe_gauge(&self, label: &str, cells: &[CrtCiphertext]) -> Result<Option<u32>> {
         if !self.recorder.is_enabled() || cells.is_empty() {
             return Ok(None);
@@ -534,8 +538,7 @@ impl HybridInference {
         let start = WallTimer::start();
         self.trace_stage_begin("infer.layer[1].ecall");
         let prof_stage = prof::span("infer.layer[1].ecall");
-        self.probe_gauge("noise.budget.layer[1].pre", conv.cells())?;
-        let (activated, act_cost) = match batching {
+        let (activated, act_bits, act_cost) = match batching {
             EcallBatching::Batched => {
                 self.enclave
                     .activation_map_par(&self.sys, &conv, m, self.activation, &self.pool)?
@@ -545,7 +548,8 @@ impl HybridInference {
                     .activation_map_single_ecalls(&self.sys, &conv, m, self.activation)?
             }
         };
-        self.probe_gauge("noise.budget.layer[1].post", activated.cells())?;
+        self.recorder
+            .gauge("noise.budget.layer[1].pre", u64::from(act_bits));
         drop(prof_stage);
         self.trace_stage_end("infer.layer[1].ecall");
         // The conv map is consumed; its limb buffers seed the pool stage's
@@ -560,18 +564,16 @@ impl HybridInference {
         });
 
         // 3. Pooling — split per the §VI-D rule; either way one ECALL. The
-        // pre-probe measures what actually crosses the boundary: the
+        // budget is that of what actually crosses the boundary: the
         // activated map for SgxPool, the homomorphically summed windows
         // (noisier) for SgxDiv.
         let start = WallTimer::start();
         self.trace_stage_begin("infer.layer[2].ecall");
         let prof_stage = prof::span("infer.layer[2].ecall");
-        let (pooled, pool_cost) = match self.plan.pool_strategy {
-            PoolStrategy::SgxPool => {
-                self.probe_gauge("noise.budget.layer[2].pre", activated.cells())?;
-                self.enclave
-                    .pool_full_map_par(&self.sys, &activated, m, false, &self.pool)?
-            }
+        let (pooled, pool_bits, pool_cost) = match self.plan.pool_strategy {
+            PoolStrategy::SgxPool => self
+                .enclave
+                .pool_full_map_par(&self.sys, &activated, m, false, &self.pool)?,
             PoolStrategy::SgxDiv => {
                 let summed = ops::he_scaled_mean_pool_par(
                     &self.sys,
@@ -581,7 +583,6 @@ impl HybridInference {
                     &self.pool,
                     &self.arena,
                 )?;
-                self.probe_gauge("noise.budget.layer[2].pre", summed.cells())?;
                 let out = self
                     .enclave
                     .divide_map_par(&self.sys, &summed, m, &self.pool)?;
@@ -589,7 +590,8 @@ impl HybridInference {
                 out
             }
         };
-        self.probe_gauge("noise.budget.layer[2].post", pooled.cells())?;
+        self.recorder
+            .gauge("noise.budget.layer[2].pre", u64::from(pool_bits));
         drop(prof_stage);
         self.trace_stage_end("infer.layer[2].ecall");
         activated.recycle(&self.arena);
@@ -625,7 +627,7 @@ impl HybridInference {
                 .gauge(&format!("noise.budget.layer[{layer}].pre"), u64::from(bits));
             let (out, stage_cost, stage_name, after_bits) = if refreshed {
                 self.recorder.incr(counters::NOISE_REFRESHES, 1);
-                let (fresh, cost) =
+                let (fresh, _, cost) =
                     self.enclave
                         .refresh_batch_par(&self.sys, pooled.cells(), &self.pool)?;
                 let (c, h, w) = pooled.shape();
@@ -666,28 +668,29 @@ impl HybridInference {
             let start = WallTimer::start();
             self.trace_stage_begin(&stage);
             let prof_stage = prof::span(&stage);
-            // Always mode refreshes unconditionally; budget telemetry around
-            // it is recorder-gated and cost-invisible to the stage books.
-            let before =
-                self.probe_gauge(&format!("noise.budget.layer[{layer}].pre"), pooled.cells())?;
-            let (fresh, cost) =
+            // Always mode refreshes unconditionally. The refresh ECALL
+            // reports its input's budget; the recorder-gated post probe is
+            // cost-invisible to the stage books.
+            let (fresh, before, cost) =
                 self.enclave
                     .refresh_batch_par(&self.sys, pooled.cells(), &self.pool)?;
+            self.recorder.gauge(
+                &format!("noise.budget.layer[{layer}].pre"),
+                u64::from(before),
+            );
             let (c, h, w) = pooled.shape();
             let fresh = EncryptedMap::new(c, h, w, fresh);
             let after =
                 self.probe_gauge(&format!("noise.budget.layer[{layer}].post"), fresh.cells())?;
             self.recorder.incr(counters::NOISE_REFRESHES, 1);
-            if let Some(before) = before {
-                self.trace_refresh_decision(layer, before, threshold, true);
-                metrics.noise.push(NoiseDecision {
-                    layer,
-                    before_bits: before,
-                    after_bits: after,
-                    threshold_bits: threshold,
-                    refreshed: true,
-                });
-            }
+            self.trace_refresh_decision(layer, before, threshold, true);
+            metrics.noise.push(NoiseDecision {
+                layer,
+                before_bits: before,
+                after_bits: after,
+                threshold_bits: threshold,
+                refreshed: true,
+            });
             let refresh_wall = start.elapsed();
             self.record_stage(&stage, refresh_wall, Some(&cost));
             metrics.stages.push(StageMetrics {

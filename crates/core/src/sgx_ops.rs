@@ -5,7 +5,10 @@
 //! decrypt with the enclave-resident secret keys, compute the exact function
 //! on plaintext, re-encrypt, ECALL out. The re-encryption also resets the
 //! invariant noise, which is why the hybrid pipeline never needs
-//! relinearization keys (§IV-E).
+//! relinearization keys (§IV-E). The decryption measures the input's
+//! invariant-noise budget as a by-product, so every operator also returns
+//! the minimum budget (bits) of what it consumed — four bytes riding in the
+//! output the ECALL already marshals.
 //!
 //! Batching policy mirrors the paper §VI-E: a whole feature map (or a whole
 //! batch of ciphertexts) enters in a *single* ECALL so the boundary-crossing
@@ -124,14 +127,16 @@ impl InferenceEnclave {
     }
 
     /// Decrypt a batch of ciphertexts, map each slot value, re-encrypt —
-    /// the common core of all in-enclave operators. Runs as ONE ecall.
+    /// the common core of all in-enclave operators. Runs as ONE ecall and
+    /// returns the outputs, the minimum noise budget (bits) of the inputs,
+    /// and the boundary cost.
     fn transform_cells(
         &self,
         name: &str,
         sys: &CrtPlainSystem,
         cells: &[&CrtCiphertext],
         f: impl Fn(usize, i128) -> i64,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         self.transform_cells_retrying(name, sys, cells, f, None)
     }
 
@@ -157,7 +162,7 @@ impl InferenceEnclave {
         cells: &[&CrtCiphertext],
         f: impl Fn(usize, i128) -> i64,
         pre_site: Option<FaultSite>,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("seq-call-{call}"));
@@ -179,20 +184,23 @@ impl InferenceEnclave {
                     // per-call fork: retries are bit-invisible.
                     let mut rng = base.clone();
                     let mut out = Vec::with_capacity(cells.len());
+                    let mut min_bits = u32::MAX;
                     for (idx, cell) in cells.iter().enumerate() {
-                        let slots = sys.decrypt_slots(cell, &self.secret)?;
+                        let (slots, bits) = sys.decrypt_slots_with_budget(cell, &self.secret)?;
+                        min_bits = min_bits.min(bits);
                         let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
                         out.push(sys.encrypt_slots(&mapped, &self.public, &mut rng)?);
                     }
                     ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out)
+                    Ok::<_, Error>((out, min_bits))
                 });
             match res {
                 Ok(inner) => (inner, cost),
                 Err(tee) => (Err(Error::Tee(tee)), cost),
             }
         });
-        Ok((result?, cost))
+        let (out, min_bits) = result?;
+        Ok((out, min_bits, cost))
     }
 
     /// Parallel [`InferenceEnclave::transform_cells`]: still ONE ecall for the
@@ -215,7 +223,7 @@ impl InferenceEnclave {
         cells: &[&CrtCiphertext],
         f: impl Fn(usize, i128) -> i64 + Sync,
         pool: &ParExec,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         self.transform_cells_par_retrying(name, sys, cells, f, pool, None)
     }
 
@@ -236,7 +244,7 @@ impl InferenceEnclave {
         f: impl Fn(usize, i128) -> i64 + Sync,
         pool: &ParExec,
         pre_site: Option<FaultSite>,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         let in_bytes: usize = cells.iter().map(|c| c.byte_len()).sum();
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let base = self.rng.lock().fork(&format!("par-call-{call}"));
@@ -257,31 +265,37 @@ impl InferenceEnclave {
                     let tasks = pool.try_run(cells.len(), |idx| {
                         let start = WallTimer::start();
                         let mut rng = base.fork(&format!("cell-{idx}"));
-                        let slots = sys.decrypt_slots(cells[idx], &self.secret)?;
+                        let (slots, bits) =
+                            sys.decrypt_slots_with_budget(cells[idx], &self.secret)?;
                         let mapped: Vec<i64> = slots.iter().map(|&v| f(idx, v)).collect();
                         let ct = sys.encrypt_slots(&mapped, &self.public, &mut rng)?;
-                        Ok::<_, Error>((ct, start.elapsed_ns()))
+                        Ok::<_, Error>((ct, bits, start.elapsed_ns()))
                     })?;
                     let mut out = Vec::with_capacity(tasks.len());
+                    let mut min_bits = u32::MAX;
                     let mut cpu_ns = 0u64;
-                    for (ct, ns) in tasks {
+                    for (ct, bits, ns) in tasks {
                         out.push(ct);
+                        min_bits = min_bits.min(bits);
                         cpu_ns = cpu_ns.saturating_add(ns);
                     }
                     ctx.record_cpu_ns(cpu_ns);
                     ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out)
+                    Ok::<_, Error>((out, min_bits))
                 });
             match res {
                 Ok(inner) => (inner, cost),
                 Err(tee) => (Err(Error::Tee(tee)), cost),
             }
         });
-        Ok((result?, cost))
+        let (out, min_bits) = result?;
+        Ok((out, min_bits, cost))
     }
 
     /// Exact activation over a whole feature map in a single batched ECALL
     /// (`SGXSigmoid` in Fig. 5; also serves ReLU/Tanh/LeakyReLU, §VI-C).
+    /// Returns the activated map, the input's minimum noise budget (bits),
+    /// and the boundary cost.
     ///
     /// # Errors
     ///
@@ -292,13 +306,13 @@ impl InferenceEnclave {
         input: &EncryptedMap,
         model: &QuantizedCnn,
         kind: ActivationKind,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let cells: Vec<&CrtCiphertext> = input.cells().iter().collect();
-        let (out, cost) = self.transform_cells("ecall_activation", sys, &cells, |_, v| {
+        let (out, bits, cost) = self.transform_cells("ecall_activation", sys, &cells, |_, v| {
             model.enclave_activation(v as i64, kind)
         })?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
+        Ok((EncryptedMap::new(c, h, w, out), bits, cost))
     }
 
     /// Parallel [`InferenceEnclave::activation_map`]: one ECALL for the whole
@@ -314,21 +328,22 @@ impl InferenceEnclave {
         model: &QuantizedCnn,
         kind: ActivationKind,
         pool: &ParExec,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let cells: Vec<&CrtCiphertext> = input.cells().iter().collect();
-        let (out, cost) = self.transform_cells_par(
+        let (out, bits, cost) = self.transform_cells_par(
             "ecall_activation",
             sys,
             &cells,
             |_, v| model.enclave_activation(v as i64, kind),
             pool,
         )?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
+        Ok((EncryptedMap::new(c, h, w, out), bits, cost))
     }
 
     /// The pathological per-pixel variant: one ECALL per cell
-    /// (`EncryptSGX (single)` in Fig. 8). Returns the summed cost.
+    /// (`EncryptSGX (single)` in Fig. 8). Returns the minimum budget over
+    /// all the calls and the summed cost.
     ///
     /// # Errors
     ///
@@ -339,12 +354,13 @@ impl InferenceEnclave {
         input: &EncryptedMap,
         model: &QuantizedCnn,
         kind: ActivationKind,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let mut out = Vec::with_capacity(input.cells().len());
+        let mut min_bits = u32::MAX;
         let mut total = CostBreakdown::default();
         for cell in input.cells() {
-            let (mut mapped, cost) =
+            let (mut mapped, bits, cost) =
                 self.transform_cells("ecall_activation_single", sys, &[cell], |_, v| {
                     model.enclave_activation(v as i64, kind)
                 })?;
@@ -353,13 +369,16 @@ impl InferenceEnclave {
                     .pop()
                     .ok_or(Error::Internal("single-cell transform returned no cell"))?,
             );
+            min_bits = min_bits.min(bits);
             total = sum_costs(total, cost);
         }
-        Ok((EncryptedMap::new(c, h, w, out), total))
+        Ok((EncryptedMap::new(c, h, w, out), min_bits, total))
     }
 
     /// `SGXDiv` (paper §VI-D): the window sums were computed homomorphically
     /// outside; the enclave only performs the non-linear division by `k²`.
+    /// Returns the divided map, the sums' minimum noise budget (bits), and
+    /// the boundary cost.
     ///
     /// # Errors
     ///
@@ -369,13 +388,13 @@ impl InferenceEnclave {
         sys: &CrtPlainSystem,
         summed: &EncryptedMap,
         model: &QuantizedCnn,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = summed.shape();
         let cells: Vec<&CrtCiphertext> = summed.cells().iter().collect();
-        let (out, cost) = self.transform_cells("ecall_divide", sys, &cells, |_, v| {
+        let (out, bits, cost) = self.transform_cells("ecall_divide", sys, &cells, |_, v| {
             model.enclave_mean(v as i64)
         })?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
+        Ok((EncryptedMap::new(c, h, w, out), bits, cost))
     }
 
     /// Parallel [`InferenceEnclave::divide_map`]: one ECALL, per-cell work on
@@ -390,17 +409,17 @@ impl InferenceEnclave {
         summed: &EncryptedMap,
         model: &QuantizedCnn,
         pool: &ParExec,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = summed.shape();
         let cells: Vec<&CrtCiphertext> = summed.cells().iter().collect();
-        let (out, cost) = self.transform_cells_par(
+        let (out, bits, cost) = self.transform_cells_par(
             "ecall_divide",
             sys,
             &cells,
             |_, v| model.enclave_mean(v as i64),
             pool,
         )?;
-        Ok((EncryptedMap::new(c, h, w, out), cost))
+        Ok((EncryptedMap::new(c, h, w, out), bits, cost))
     }
 
     /// Transciphered ingress (`ecall_Transcipher`, DESIGN.md §17): the
@@ -518,7 +537,8 @@ impl InferenceEnclave {
 
     /// `SGXPool` (paper §VI-D): the whole feature map enters the enclave and
     /// both the addition and the division happen inside. Fixed input size
-    /// regardless of window (the paper's green line in Fig. 6).
+    /// regardless of window (the paper's green line in Fig. 6). Returns the
+    /// pooled map, the input's minimum noise budget (bits), and the cost.
     ///
     /// # Errors
     ///
@@ -529,7 +549,7 @@ impl InferenceEnclave {
         input: &EncryptedMap,
         model: &QuantizedCnn,
         max_pool: bool,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let window = model.window;
         let (oh, ow) = (h / window, w / window);
@@ -551,8 +571,11 @@ impl InferenceEnclave {
                     ctx.touch(region).map_err(Error::Tee)?;
                     // Decrypt the full map.
                     let mut plain: Vec<Vec<i128>> = Vec::with_capacity(input.cells().len());
+                    let mut min_bits = u32::MAX;
                     for cell in input.cells() {
-                        plain.push(sys.decrypt_slots(cell, &self.secret)?);
+                        let (slots, bits) = sys.decrypt_slots_with_budget(cell, &self.secret)?;
+                        min_bits = min_bits.min(bits);
+                        plain.push(slots);
                     }
                     // Pool per slot.
                     let mut rng = base.clone();
@@ -593,7 +616,7 @@ impl InferenceEnclave {
                         }
                     }
                     ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out_cells)
+                    Ok::<_, Error>((out_cells, min_bits))
                 },
             );
             match res {
@@ -601,7 +624,8 @@ impl InferenceEnclave {
                 Err(tee) => (Err(Error::Tee(tee)), cost),
             }
         });
-        Ok((EncryptedMap::new(c, oh, ow, result?), cost))
+        let (out_cells, min_bits) = result?;
+        Ok((EncryptedMap::new(c, oh, ow, out_cells), min_bits, cost))
     }
 
     /// Parallel [`InferenceEnclave::pool_full_map`]: still one ECALL for the
@@ -619,7 +643,7 @@ impl InferenceEnclave {
         model: &QuantizedCnn,
         max_pool: bool,
         pool: &ParExec,
-    ) -> Result<(EncryptedMap, CostBreakdown)> {
+    ) -> Result<(EncryptedMap, u32, CostBreakdown)> {
         let (c, h, w) = input.shape();
         let window = model.window;
         let (oh, ow) = (h / window, w / window);
@@ -643,12 +667,15 @@ impl InferenceEnclave {
                     // Decrypt the full map, one task per cell.
                     let decrypted = pool.try_run(input.cells().len(), |i| {
                         let start = WallTimer::start();
-                        let slots = sys.decrypt_slots(&input.cells()[i], &self.secret)?;
-                        Ok::<_, Error>((slots, start.elapsed_ns()))
+                        let (slots, bits) =
+                            sys.decrypt_slots_with_budget(&input.cells()[i], &self.secret)?;
+                        Ok::<_, Error>((slots, bits, start.elapsed_ns()))
                     })?;
                     let mut plain = Vec::with_capacity(decrypted.len());
-                    for (slots, ns) in decrypted {
+                    let mut min_bits = u32::MAX;
+                    for (slots, bits, ns) in decrypted {
                         plain.push(slots);
+                        min_bits = min_bits.min(bits);
                         cpu_ns = cpu_ns.saturating_add(ns);
                     }
                     // Pool + re-encrypt, one task per output cell.
@@ -691,7 +718,7 @@ impl InferenceEnclave {
                     }
                     ctx.record_cpu_ns(cpu_ns);
                     ctx.free(region).map_err(Error::Tee)?;
-                    Ok::<_, Error>(out_cells)
+                    Ok::<_, Error>((out_cells, min_bits))
                 },
             );
             match res {
@@ -699,13 +726,15 @@ impl InferenceEnclave {
                 Err(tee) => (Err(Error::Tee(tee)), cost),
             }
         });
-        Ok((EncryptedMap::new(c, oh, ow, result?), cost))
+        let (out_cells, min_bits) = result?;
+        Ok((EncryptedMap::new(c, oh, ow, out_cells), min_bits, cost))
     }
 
     /// Noise refresh (`ecall_DcreaseNoise`, paper §VI-E / Table V): decrypt
     /// and re-encrypt a batch of ciphertexts in one ECALL, removing all
     /// accumulated noise and shrinking size-3 ciphertexts back to size 2 —
-    /// the enclave alternative to relinearization.
+    /// the enclave alternative to relinearization. Returns the fresh
+    /// ciphertexts, the inputs' minimum noise budget (bits), and the cost.
     ///
     /// # Errors
     ///
@@ -714,7 +743,7 @@ impl InferenceEnclave {
         &self,
         sys: &CrtPlainSystem,
         cts: &[CrtCiphertext],
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         let refs: Vec<&CrtCiphertext> = cts.iter().collect();
         self.transform_cells_retrying(
             "ecall_DecreaseNoise",
@@ -736,7 +765,7 @@ impl InferenceEnclave {
         sys: &CrtPlainSystem,
         cts: &[CrtCiphertext],
         pool: &ParExec,
-    ) -> Result<(Vec<CrtCiphertext>, CostBreakdown)> {
+    ) -> Result<(Vec<CrtCiphertext>, u32, CostBreakdown)> {
         let refs: Vec<&CrtCiphertext> = cts.iter().collect();
         self.transform_cells_par_retrying(
             "ecall_DecreaseNoise",
@@ -758,8 +787,8 @@ impl InferenceEnclave {
         &self,
         sys: &CrtPlainSystem,
         ct: &CrtCiphertext,
-    ) -> Result<(CrtCiphertext, CostBreakdown)> {
-        let (mut out, cost) = self.transform_cells_retrying(
+    ) -> Result<(CrtCiphertext, u32, CostBreakdown)> {
+        let (mut out, bits, cost) = self.transform_cells_retrying(
             "ecall_DecreaseNoise",
             sys,
             &[ct],
@@ -769,12 +798,14 @@ impl InferenceEnclave {
         let fresh = out
             .pop()
             .ok_or(Error::Internal("refresh returned no ciphertext"))?;
-        Ok((fresh, cost))
+        Ok((fresh, bits, cost))
     }
 
     /// Measures the minimum invariant-noise budget (bits) across `cts`
-    /// inside the enclave — the noise-telemetry source and the input to the
-    /// Auto refresh decision (DESIGN.md §13).
+    /// inside the enclave, as a standalone ECALL — the input to the Auto
+    /// refresh decision and the post-refresh measurement (DESIGN.md §13.2).
+    /// The operator ECALLs need no probe: they report their input's budget
+    /// from the decryption they already run.
     ///
     /// The probe deliberately sits *outside* the fault-injection and RNG
     /// machinery: it uses the plain (infallible) ECALL path, consults no
@@ -860,7 +891,7 @@ mod tests {
         // A map of "conv outputs" to activate.
         let values: Vec<Vec<i64>> = vec![vec![-500, -10, 0, 10, 500, 123, -77, 999, 4]];
         let enc = EncryptedMap::encrypt_images(&sys, &values, 3, &ie.public, &mut rng).unwrap();
-        let (out, cost) = ie
+        let (out, _, cost) = ie
             .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
             .unwrap();
         let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
@@ -878,10 +909,10 @@ mod tests {
         let model = small_model();
         let values = vec![(0..16).map(|v| v * 10 - 80).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
-        let (_, batched) = ie
+        let (_, _, batched) = ie
             .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
             .unwrap();
-        let (_, single) = ie
+        let (_, _, single) = ie
             .activation_map_single_ecalls(&sys, &enc, &model, ActivationKind::Sigmoid)
             .unwrap();
         assert!(
@@ -903,7 +934,7 @@ mod tests {
         let sq = sys.square(&ct).unwrap();
         assert_eq!(sq.size(), 3);
         let before = sys.noise_budget(&sq, keys_secret).unwrap();
-        let (fresh, _) = ie.refresh_one(&sys, &sq).unwrap();
+        let (fresh, _, _) = ie.refresh_one(&sys, &sq).unwrap();
         assert_eq!(fresh.size(), 2, "refresh shrinks the ciphertext");
         let after = sys.noise_budget(&fresh, keys_secret).unwrap();
         assert!(
@@ -921,10 +952,10 @@ mod tests {
         let cts: Vec<_> = (0..8)
             .map(|i| sys.encrypt_slots(&[i], &ie.public, &mut rng).unwrap())
             .collect();
-        let (_, batched) = ie.refresh_batch(&sys, &cts).unwrap();
+        let (_, _, batched) = ie.refresh_batch(&sys, &cts).unwrap();
         let mut single_total = CostBreakdown::default();
         for ct in &cts {
-            let (_, c) = ie.refresh_one(&sys, ct).unwrap();
+            let (_, _, c) = ie.refresh_one(&sys, ct).unwrap();
             single_total = sum_costs(single_total, c);
         }
         assert!(single_total.transition_ns > batched.transition_ns);
@@ -941,7 +972,7 @@ mod tests {
             let (ie, sys, mut rng) = setup();
             let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
             let pool = ParExec::new(threads);
-            let (out, cost) = ie
+            let (out, _, cost) = ie
                 .activation_map_par(&sys, &enc, &model, ActivationKind::Sigmoid, &pool)
                 .unwrap();
             assert!(cost.total_ns() > 0);
@@ -966,13 +997,13 @@ mod tests {
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
         let pool = ParExec::new(4);
-        let (mean, _) = ie
+        let (mean, _, _) = ie
             .pool_full_map_par(&sys, &enc, &model, false, &pool)
             .unwrap();
         assert_eq!(mean.shape(), (1, 2, 2));
         let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
         assert_eq!(dec[0], vec![4, 6, 12, 14]);
-        let (maxp, _) = ie
+        let (maxp, _, _) = ie
             .pool_full_map_par(&sys, &enc, &model, true, &pool)
             .unwrap();
         let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
@@ -989,7 +1020,7 @@ mod tests {
             })
             .collect();
         let pool = ParExec::new(3);
-        let (fresh, _) = ie.refresh_batch_par(&sys, &cts, &pool).unwrap();
+        let (fresh, _, _) = ie.refresh_batch_par(&sys, &cts, &pool).unwrap();
         for (i, ct) in fresh.iter().enumerate() {
             let dec = sys.decrypt_slots(ct, &ie.secret).unwrap();
             assert_eq!(dec[0], (i as i128) * 11 - 20);
@@ -1003,7 +1034,7 @@ mod tests {
         // Window sums (window=2 → divide by 4 with rounding).
         let sums = vec![vec![4i64, 6, 7, 0]];
         let enc = EncryptedMap::encrypt_images(&sys, &sums, 2, &ie.public, &mut rng).unwrap();
-        let (out, _) = ie.divide_map(&sys, &enc, &model).unwrap();
+        let (out, _, _) = ie.divide_map(&sys, &enc, &model).unwrap();
         let dec = out.decrypt_all(&sys, &ie.secret, 1).unwrap();
         assert_eq!(dec[0], vec![1, 2, 2, 0]);
     }
@@ -1014,14 +1045,90 @@ mod tests {
         let model = small_model();
         let img = vec![(1..=16i64).collect::<Vec<i64>>()];
         let enc = EncryptedMap::encrypt_images(&sys, &img, 4, &ie.public, &mut rng).unwrap();
-        let (mean, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
+        let (mean, _, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
         assert_eq!(mean.shape(), (1, 2, 2));
         let dec = mean.decrypt_all(&sys, &ie.secret, 1).unwrap();
         // windows sums 14,22,46,54 → means 4,6,12,14 (round half up).
         assert_eq!(dec[0], vec![4, 6, 12, 14]);
-        let (maxp, _) = ie.pool_full_map(&sys, &enc, &model, true).unwrap();
+        let (maxp, _, _) = ie.pool_full_map(&sys, &enc, &model, true).unwrap();
         let dec = maxp.decrypt_all(&sys, &ie.secret, 1).unwrap();
         assert_eq!(dec[0], vec![6, 8, 14, 16]);
+    }
+
+    #[test]
+    fn transform_ecalls_report_the_probed_input_budget() {
+        let model = small_model();
+        let kind = ActivationKind::Sigmoid;
+        for threads in [1usize, 2, 4] {
+            let (ie, sys, mut rng) = setup();
+            let pool = ParExec::new(threads);
+            // Cells with spread-out budgets (fresh, scalar-scaled, squared to
+            // size 3), so each operator's min-reduction is actually tested.
+            let cells: Vec<CrtCiphertext> = (0..16i64)
+                .map(|i| {
+                    let ct = sys
+                        .encrypt_slots(&[i - 8, 3 * i], &ie.public, &mut rng)
+                        .unwrap();
+                    match i % 3 {
+                        0 => ct,
+                        1 => sys.mul_scalar(&ct, 97 * i).unwrap(),
+                        _ => sys.square(&ct).unwrap(),
+                    }
+                })
+                .collect();
+            let map = EncryptedMap::new(1, 4, 4, cells);
+            let refs: Vec<&CrtCiphertext> = map.cells().iter().collect();
+            let (probed, _) = ie.noise_probe(&sys, &refs).unwrap();
+            let fresh = sys.noise_budget(&map.cells()[0], &ie.secret).unwrap();
+            assert!(probed < fresh, "the map's minimum sits below a fresh cell");
+            let reported = [
+                (
+                    "activation_map",
+                    ie.activation_map(&sys, &map, &model, kind).unwrap().1,
+                ),
+                (
+                    "activation_map_par",
+                    ie.activation_map_par(&sys, &map, &model, kind, &pool)
+                        .unwrap()
+                        .1,
+                ),
+                (
+                    "activation_map_single_ecalls",
+                    ie.activation_map_single_ecalls(&sys, &map, &model, kind)
+                        .unwrap()
+                        .1,
+                ),
+                ("divide_map", ie.divide_map(&sys, &map, &model).unwrap().1),
+                (
+                    "divide_map_par",
+                    ie.divide_map_par(&sys, &map, &model, &pool).unwrap().1,
+                ),
+                (
+                    "pool_full_map",
+                    ie.pool_full_map(&sys, &map, &model, false).unwrap().1,
+                ),
+                (
+                    "pool_full_map_par",
+                    ie.pool_full_map_par(&sys, &map, &model, true, &pool)
+                        .unwrap()
+                        .1,
+                ),
+                (
+                    "refresh_batch",
+                    ie.refresh_batch(&sys, map.cells()).unwrap().1,
+                ),
+                (
+                    "refresh_batch_par",
+                    ie.refresh_batch_par(&sys, map.cells(), &pool).unwrap().1,
+                ),
+            ];
+            for (name, bits) in reported {
+                assert_eq!(bits, probed, "{name} at {threads} threads");
+            }
+            let squared = &map.cells()[2];
+            let (alone, _) = ie.noise_probe(&sys, &[squared]).unwrap();
+            assert_eq!(ie.refresh_one(&sys, squared).unwrap().1, alone);
+        }
     }
 
     #[test]
@@ -1047,10 +1154,10 @@ mod tests {
             let (keys, _) = enclave_generate_keys(&enclave, &sys, &mut rng).expect("key ceremony");
             let ie = InferenceEnclave::new(enclave, keys.secret, keys.public, 92);
             let enc = EncryptedMap::encrypt_images(&sys, &values, 4, &ie.public, &mut rng).unwrap();
-            let (act, _) = ie
+            let (act, _, _) = ie
                 .activation_map(&sys, &enc, &model, ActivationKind::Sigmoid)
                 .unwrap();
-            let (pooled, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
+            let (pooled, _, _) = ie.pool_full_map(&sys, &enc, &model, false).unwrap();
             (act.cells().to_vec(), pooled.cells().to_vec())
         };
         let clean = run(None);
@@ -1170,7 +1277,7 @@ mod tests {
         let cts: Vec<_> = (0..4)
             .map(|i| sys.encrypt_slots(&[i * 3], &ie.public, &mut rng).unwrap())
             .collect();
-        let (fresh, cost) = ie.refresh_batch(&sys, &cts).unwrap();
+        let (fresh, _, cost) = ie.refresh_batch(&sys, &cts).unwrap();
         assert_eq!(fresh.len(), 4);
         let span = rec.span("recovery.retry").expect("attempts recorded");
         // One dropped attempt + one real crossing.

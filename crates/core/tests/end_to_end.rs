@@ -230,7 +230,7 @@ fn noise_refresh_extends_computation_indefinitely() {
     let mut expected = 3i128;
     for depth in 0..3 {
         let sq = sys.square(&ct).unwrap();
-        let (fresh, _) = ie.refresh_one(&sys, &sq).unwrap();
+        let (fresh, _, _) = ie.refresh_one(&sys, &sq).unwrap();
         expected *= expected;
         let budget = sys.noise_budget(&fresh, &keys.secret).unwrap();
         assert!(

@@ -9,6 +9,9 @@
 //! - **Reconciliation**: summing the recorder's `infer.layer[i].ecall` spans
 //!   reproduces `total_enclave_cost(&metrics)` exactly — every term, every
 //!   nanosecond — because both sides are fed the same `CostBreakdown`.
+//! - **Free budgets**: the operator ECALLs report their input's noise
+//!   budget from the decryption they already run, so serving without a
+//!   refresh stage makes no `ecall_NoiseProbe` call at all.
 
 mod testutil;
 
@@ -22,12 +25,16 @@ use std::path::Path;
 /// Builds a fixed-seed session with an enabled recorder and runs one
 /// inference; everything except `threads` is held constant.
 fn run_session(threads: usize) -> (Session, Recorder) {
+    run_session_with(threads, true)
+}
+
+fn run_session_with(threads: usize, noise_refresh: bool) -> (Session, Recorder) {
     let rec = Recorder::enabled();
     let session = SessionBuilder::new()
         .params(ParamsPreset::Small)
         .threads(threads)
         .seed(7)
-        .noise_refresh(true)
+        .noise_refresh(noise_refresh)
         .recorder(rec.clone())
         .build(Platform::new(900), testutil::small_hybrid_model())
         .unwrap();
@@ -104,4 +111,27 @@ fn session_counters_track_serving_and_boundary_traffic() {
     let image: Vec<i64> = (0..64).map(|p| ((p * 3) % 16) as i64).collect();
     session.serve(InferRequest::single(image)).unwrap();
     assert_eq!(rec.counter(counters::SERVED_EXACT), 2);
+}
+
+#[test]
+fn serving_without_refresh_gauges_budgets_with_no_probe_ecall() {
+    let (_session, rec) = run_session_with(2, false);
+    assert_eq!(rec.counter(counters::NOISE_PROBES), 0);
+    assert!(
+        rec.spans_with_prefix("ecall.ecall_NoiseProbe").is_empty(),
+        "no standalone probe ECALL without a refresh stage"
+    );
+    // The same budgets the refresh run gauges (the stages before the
+    // refresh point are identical), one sample each, and no `.post` gauge
+    // outside a refresh stage.
+    let (_, with_refresh) = run_session_with(2, true);
+    for layer in [1, 2] {
+        let pre = format!("noise.budget.layer[{layer}].pre");
+        let series = rec.gauge_series(&pre);
+        assert_eq!(series.len(), 1, "{pre}: {series:?}");
+        assert!(series[0] > 0, "{pre}: decryptable input");
+        assert_eq!(series, with_refresh.gauge_series(&pre), "{pre}");
+        let post = format!("noise.budget.layer[{layer}].post");
+        assert!(rec.gauge_series(&post).is_empty(), "{post}");
+    }
 }

@@ -9,6 +9,7 @@
 //! The batch (SIMD) dimension carries the image batch, exactly as the paper's
 //! experiments run `batchSize = 10` images at once (§V-B, §VIII).
 
+use hesgx_bfv::decryptor::decrypt_with_budget;
 use hesgx_bfv::prelude::*;
 use hesgx_bfv::{arith, context::BfvContext};
 use hesgx_crypto::rng::ChaChaRng;
@@ -287,11 +288,28 @@ impl CrtPlainSystem {
         ct: &CrtCiphertext,
         secret: &[SecretKey],
     ) -> hesgx_bfv::error::Result<Vec<i128>> {
+        Ok(self.decrypt_slots_with_budget(ct, secret)?.0)
+    }
+
+    /// [`CrtPlainSystem::decrypt_slots`] plus the minimum invariant-noise
+    /// budget over the parts, measured in the same pass (see
+    /// [`hesgx_bfv::decryptor::decrypt_with_budget`]) — the budget costs no
+    /// second decryption. The keys are borrowed, never copied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decryption failures (context mismatch etc.).
+    pub fn decrypt_slots_with_budget(
+        &self,
+        ct: &CrtCiphertext,
+        secret: &[SecretKey],
+    ) -> hesgx_bfv::error::Result<(Vec<i128>, u32)> {
         let slots = self.slot_count();
+        let mut min_bits = u32::MAX;
         let mut residues_per_part = Vec::with_capacity(self.moduli.len());
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let dec = Decryptor::new(ctx.clone(), secret[i].clone());
-            let pt = dec.decrypt(&ct.parts[i])?;
+            let (pt, bits) = decrypt_with_budget(ctx, &secret[i], &ct.parts[i])?;
+            min_bits = min_bits.min(bits);
             residues_per_part.push(self.encoders[i].decode(&pt));
         }
         let mut out = Vec::with_capacity(slots);
@@ -299,7 +317,7 @@ impl CrtPlainSystem {
             let residues: Vec<u64> = residues_per_part.iter().map(|r| r[s]).collect();
             out.push(self.crt_combine_signed(&residues));
         }
-        Ok(out)
+        Ok((out, min_bits))
     }
 
     /// Combines per-modulus residues into a signed value in `(-T/2, T/2]`.
@@ -685,7 +703,8 @@ impl CrtPlainSystem {
         self.evaluators[part].relinearize(a, &keys[part])
     }
 
-    /// Minimum invariant-noise budget over the parts.
+    /// Minimum invariant-noise budget over the parts (each part measured by
+    /// [`hesgx_bfv::decryptor::decrypt_with_budget`], the key borrowed).
     ///
     /// # Errors
     ///
@@ -697,8 +716,7 @@ impl CrtPlainSystem {
     ) -> hesgx_bfv::error::Result<u32> {
         let mut min = u32::MAX;
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let dec = Decryptor::new(ctx.clone(), secret[i].clone());
-            min = min.min(dec.invariant_noise_budget(&ct.parts[i])?);
+            min = min.min(decrypt_with_budget(ctx, &secret[i], &ct.parts[i])?.1);
         }
         Ok(min)
     }

@@ -93,7 +93,9 @@ pub mod counters {
     pub const PAR_TASKS: &str = "par.tasks";
     /// Attestation quote verifications performed.
     pub const ATTESTATION_VERIFIES: &str = "attestation.verifies";
-    /// Noise-budget probes executed inside the enclave.
+    /// Standalone `ecall_NoiseProbe` calls (the Auto refresh decision and
+    /// post-refresh measurements). Budgets the operator ECALLs report from
+    /// their own decryption are not counted.
     pub const NOISE_PROBES: &str = "noise.probes";
     /// Noise refreshes actually taken (Always mode or Auto below threshold).
     pub const NOISE_REFRESHES: &str = "noise.refreshes";

@@ -147,10 +147,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut counter = OpCounter::default();
         let summed =
             ops::he_scaled_mean_pool(&sys, &input, window, &mut counter, &PolyArena::new())?;
-        let (_, div_cost) = ie.divide_map(&sys, &summed, &model)?;
+        let (_, _, div_cost) = ie.divide_map(&sys, &summed, &model)?;
         let div_ms = start.elapsed().as_secs_f64() * 1e3
             + (div_cost.total_ns().saturating_sub(div_cost.real_ns)) as f64 / 1e6;
-        let (_, pool_cost) = ie.pool_full_map(&sys, &input, &model, false)?;
+        let (_, _, pool_cost) = ie.pool_full_map(&sys, &input, &model, false)?;
         let pool_ms = pool_cost.total_ns() as f64 / 1e6;
         println!(
             "{window:6}   {:?}   {div_ms:10.3}   {pool_ms:11.3}",
@@ -182,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ActivationKind::Tanh,
         ActivationKind::LeakyRelu,
     ] {
-        let (_, cost) = ie.activation_map(&sys, &map, &model, kind)?;
+        let (_, _, cost) = ie.activation_map(&sys, &map, &model, kind)?;
         println!(
             "{kind:?} over 64 cells: {:.3} ms virtual",
             cost.total_ns() as f64 / 1e6
